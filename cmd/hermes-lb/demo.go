@@ -38,7 +38,10 @@ func runDemo(cfg proxy.Config, requests int, statsEvery time.Duration, tracer *t
 					if _, _, err := httpx.ParseRequest(buf[:n]); err != nil {
 						return
 					}
-					resp := httpx.Response{Status: 200, Body: []byte(fmt.Sprintf("hello from backend %d", id))}
+					// One reply per connection: say so, or the proxy would
+					// pool a connection that is about to close.
+					resp := httpx.Response{Status: 200, Body: []byte(fmt.Sprintf("hello from backend %d", id)),
+						Headers: []httpx.Header{{Name: "Connection", Value: "close"}}}
 					_, _ = c.Write(resp.Append(nil))
 				}(c)
 			}

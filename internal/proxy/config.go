@@ -122,9 +122,11 @@ type Config struct {
 	Telemetry      TelemetrySettings
 	SLO            SLOSettings
 
-	// DialTimeout bounds one upstream dial.
+	// DialTimeout bounds opening one new upstream connection; a pooled
+	// keep-alive connection skips the dial.
 	DialTimeout time.Duration
-	// ResponseTimeout bounds one upstream response read.
+	// ResponseTimeout bounds one upstream exchange: writing the request and
+	// reading its reply.
 	ResponseTimeout time.Duration
 	// ClientIdleTimeout bounds waiting for the next request on a keep-alive
 	// client connection.
@@ -164,7 +166,7 @@ func DefaultConfig() Config {
 			WindowTick:  time.Second,
 			WindowDepth: 360,
 		},
-		SLO: SLOSettings{Enabled: true},
+		SLO:               SLOSettings{Enabled: true},
 		DialTimeout:       2 * time.Second,
 		ResponseTimeout:   5 * time.Second,
 		ClientIdleTimeout: 5 * time.Second,

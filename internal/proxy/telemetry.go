@@ -14,6 +14,13 @@ type Instruments struct {
 	RequestLatencyNS *telemetry.Histogram
 	// UpstreamErrors counts failed upstream exchanges (after retries).
 	UpstreamErrors *telemetry.Counter
+	// UpstreamDials counts upstream connections opened; UpstreamReused
+	// exchanges sent on a pooled idle connection; UpstreamStaleReplays
+	// requests replayed on a fresh dial because a pooled connection was
+	// dead before any reply byte.
+	UpstreamDials        *telemetry.Counter
+	UpstreamReused       *telemetry.Counter
+	UpstreamStaleReplays *telemetry.Counter
 
 	// BackendRequests / BackendErrors / BackendActive are per-backend
 	// request, error, and in-flight counts.
@@ -66,6 +73,10 @@ func newInstruments(reg *telemetry.Registry, workers, backends int) Instruments 
 		RequestsServed:   reg.CounterVec(m("proxy.worker.requests_served", "reqs"), workers),
 		RequestLatencyNS: reg.Histogram(m("proxy.request_latency_ns", "ns"), telemetry.DurationBuckets()),
 		UpstreamErrors:   reg.Counter(m("proxy.upstream_errors", "errors")),
+
+		UpstreamDials:        reg.Counter(m("proxy.upstream.dials", "conns")),
+		UpstreamReused:       reg.Counter(m("proxy.upstream.reused", "reqs")),
+		UpstreamStaleReplays: reg.Counter(m("proxy.upstream.stale_replays", "reqs")),
 
 		BackendRequests: reg.CounterVec(m("proxy.backend.requests", "reqs"), backends),
 		BackendErrors:   reg.CounterVec(m("proxy.backend.errors", "errors"), backends),
