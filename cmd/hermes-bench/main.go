@@ -55,7 +55,6 @@ func main() {
 		scale    = flag.Float64("scale", 0.5, "workload rate scale")
 		tenants  = flag.Int("tenants", 8, "tenant ports per LB")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "cell-level fan-out (independent sims per experiment); 1 = sequential")
-		batch    = flag.Int("batch", 1, "kernel arrival/delivery coalescing width (1 = paper-literal; output is byte-identical at any width)")
 		metrics  = flag.String("metrics", "", "write per-cell telemetry dumps (JSON) to this path")
 		prom     = flag.String("prom", "", "write per-cell OpenMetrics expositions (<exp>__<cell>.prom) into this directory")
 
@@ -107,7 +106,6 @@ func main() {
 	opts.RateScale = *scale
 	opts.Tenants = *tenants
 	opts.Parallel = *parallel
-	opts.Batch = *batch
 
 	experiments := bench.Experiments()
 	if *exp == "list" {

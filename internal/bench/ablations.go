@@ -76,7 +76,6 @@ func (ablationsExperiment) Cells(opts Options) []Cell {
 		v := v
 		cells[i] = Cell{Name: v.name, Run: func() any {
 			run, err := Run(RunConfig{
-				Batch:     opts.Batch,
 				Mode:      l7lb.ModeHermes,
 				Workers:   opts.Workers,
 				Ports:     ports,

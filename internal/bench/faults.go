@@ -211,7 +211,6 @@ func runFaultsCell(opts Options, scen faultsScenario, mode l7lb.Mode) faultsRow 
 	)
 	eng := newSimEngine(opts.Seed)
 	cfg := l7lb.DefaultConfig(mode)
-	cfg.BatchWidth = opts.Batch
 	cfg.Workers = opts.Workers
 	cfg.Ports = tenantPorts(1)
 	cfg.RegisteredPorts = opts.RegisteredPorts

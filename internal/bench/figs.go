@@ -47,7 +47,6 @@ func (fig2Experiment) Cells(opts Options) []Cell {
 		mode := mode
 		cells[i] = Cell{Name: mode.String(), Run: func() any {
 			run, err := Run(RunConfig{
-				Batch:     opts.Batch,
 				Mode:      mode,
 				Workers:   8,
 				Seed:      opts.Seed,
@@ -90,7 +89,6 @@ func Fig2(opts Options) string { return RunExperiment(fig2Experiment{}, opts) }
 func Fig3(opts Options) string {
 	eng := sim.NewEngine(opts.Seed)
 	cfg := l7lb.DefaultConfig(l7lb.ModeExclusive)
-	cfg.BatchWidth = opts.Batch
 	cfg.Workers = opts.Workers
 	cfg.Ports = []uint16{8080}
 	lb, err := l7lb.New(eng, cfg)
@@ -136,7 +134,6 @@ func Fig4and5(opts Options) string {
 	region := workload.Regions()[1] // Region2: case-4 heavy → uneven work
 	specs := region.Specs(ports, 30_000*opts.RateScale)
 	run, err := Run(RunConfig{
-		Batch:    opts.Batch,
 		Mode:     l7lb.ModeExclusive,
 		Workers:  opts.Workers,
 		Ports:    ports,
@@ -188,7 +185,6 @@ func Fig7(opts Options) string {
 	// The paper's Fig. 7 device runs the pre-Hermes default, epoll
 	// exclusive, whose concentration makes the CPU-side imbalance stark.
 	run, err := Run(RunConfig{
-		Batch:   opts.Batch,
 		Mode:    l7lb.ModeExclusive,
 		Workers: opts.Workers,
 		Ports:   ports,

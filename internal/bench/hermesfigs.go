@@ -29,7 +29,6 @@ func init() {
 func measureDelayedRate(opts Options, mode l7lb.Mode) float64 {
 	eng := newSimEngine(opts.Seed)
 	cfg := l7lb.DefaultConfig(mode)
-	cfg.BatchWidth = opts.Batch
 	cfg.Workers = opts.Workers
 	cfg.Ports = tenantPorts(1)
 	cfg.RegisteredPorts = opts.RegisteredPorts
@@ -196,7 +195,6 @@ func (fig13Experiment) Cells(opts Options) []Cell {
 		cells[mi] = Cell{Name: mode.String(), Run: func() any {
 			eng := newSimEngine(opts.Seed)
 			cfg := l7lb.DefaultConfig(mode)
-			cfg.BatchWidth = opts.Batch
 			cfg.Workers = opts.Workers
 			cfg.Ports = ports
 			cfg.RegisteredPorts = opts.RegisteredPorts
@@ -287,7 +285,6 @@ func (fig14Experiment) Cells(opts Options) []Cell {
 		cells[i] = Cell{Name: name, Run: func() any {
 			specs := workload.Regions()[1].Specs(ports, 55_000*opts.RateScale*level)
 			run, err := Run(RunConfig{
-				Batch:     opts.Batch,
 				Mode:      l7lb.ModeHermes,
 				Workers:   opts.Workers,
 				Ports:     ports,
@@ -348,7 +345,6 @@ func (fig15Experiment) Cells(opts Options) []Cell {
 		name := fmt.Sprintf("theta%.2f", theta)
 		cells[i] = Cell{Name: name, Run: func() any {
 			run, err := Run(RunConfig{
-				Batch:     opts.Batch,
 				Mode:      l7lb.ModeHermes,
 				Workers:   opts.Workers,
 				Ports:     ports,

@@ -31,12 +31,6 @@ type Options struct {
 	// simulations within one experiment). 0 means GOMAXPROCS; 1 forces
 	// sequential execution. Output is byte-identical at any setting.
 	Parallel int
-	// Batch is the kernel arrival/delivery coalescing width
-	// (l7lb.Config.BatchWidth → kernel.NetStack.SetBurstWidth) applied by
-	// experiments that drive the kernel directly. ≤1 is the paper-literal
-	// one-trampoline-per-wake path; output is byte-identical at any width,
-	// wider just spends fewer engine events per delivered burst.
-	Batch int
 	// Metrics, when set, collects one telemetry registry per experiment
 	// cell (hermes-bench -metrics). Nil disables recording; rendered
 	// experiment output is byte-identical either way.

@@ -49,10 +49,6 @@ type RunConfig struct {
 	// per-connection flight recorder records into it. Nil disables
 	// recording. The caller flushes/exports after the run.
 	Tracer *tracing.Tracer
-	// Batch is the kernel arrival/delivery coalescing width handed to the
-	// LB (l7lb.Config.BatchWidth). ≤1 is the paper-literal path; output is
-	// byte-identical at any width.
-	Batch int
 	// Mutate optionally adjusts the LB config before construction.
 	Mutate func(*l7lb.Config)
 	// PostBuild optionally adjusts the built LB before traffic starts
@@ -104,7 +100,6 @@ func Run(rc RunConfig) (*RunResult, error) {
 	cfg.DetailedStats = rc.Detailed
 	cfg.Telemetry = rc.Telemetry
 	cfg.Tracer = rc.Tracer
-	cfg.BatchWidth = rc.Batch
 	if rc.Mutate != nil {
 		rc.Mutate(&cfg)
 	}

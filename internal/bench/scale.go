@@ -113,7 +113,6 @@ func runScaleCell(fleet, conns int, mode l7lb.Mode, seed int64, o Options,
 	cfg.Ports = []uint16{8080}
 	cfg.Telemetry = tel
 	cfg.Tracer = tr
-	cfg.BatchWidth = o.Batch
 	// Pre-size every worker's connection table from the cell's planned
 	// connection count: an even share per worker is orders of magnitude
 	// above peak concurrently-open conns (each lives ~µs of virtual time),
@@ -146,11 +145,6 @@ func runScaleCell(fleet, conns int, mode l7lb.Mode, seed int64, o Options,
 			DstIP:   0x0a00_0001,
 			DstPort: 8080,
 		}
-		// SYN and first-request deliveries happen back-to-back in this one
-		// engine event, so the burst bracket may coalesce their wakeups
-		// (BatchWidth > 1) without any observable reordering; at width ≤ 1
-		// it is the paper-literal trampoline path, untouched.
-		lb.NS.BeginBurst()
 		if conn, ok := lb.NS.DeliverSYN(tuple, nil); ok {
 			lb.NS.DeliverData(conn, l7lb.Work{
 				ArrivalNS: eng.Now(), Cost: reqCost, Close: true, Tenant: 8080,
@@ -158,7 +152,6 @@ func runScaleCell(fleet, conns int, mode l7lb.Mode, seed int64, o Options,
 		} else {
 			res.drops++
 		}
-		lb.NS.EndBurst()
 		i++
 		if i < conns {
 			eng.At(int64(i)*interval, arrive)

@@ -62,7 +62,6 @@ func (table3Experiment) Cells(opts Options) []Cell {
 				cells = append(cells, Cell{Name: name, Run: func() any {
 					spec := cs.Scale(opts.RateScale * LevelScales[li])
 					run, err := Run(RunConfig{
-						Batch:     opts.Batch,
 						Mode:      mode,
 						Workers:   opts.Workers,
 						Seed:      opts.Seed + int64(ci*100+li*10+mi),

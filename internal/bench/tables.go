@@ -109,7 +109,6 @@ func (table2Experiment) Cells(opts Options) []Cell {
 			totalRPS := (4_000 + rng.Float64()*50_000) * opts.RateScale
 			specs := region.Specs(ports, totalRPS)
 			run, err := Run(RunConfig{
-				Batch:     opts.Batch,
 				Mode:      l7lb.ModeExclusive,
 				Workers:   opts.Workers,
 				Ports:     ports,

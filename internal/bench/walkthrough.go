@@ -27,7 +27,6 @@ func Walkthrough(opts Options) string {
 	for _, mode := range []l7lb.Mode{l7lb.ModeExclusive, l7lb.ModeReuseport, l7lb.ModeHermes} {
 		eng := newSimEngine(opts.Seed)
 		cfg := l7lb.DefaultConfig(mode)
-		cfg.BatchWidth = opts.Batch
 		cfg.Workers = 3
 		cfg.Ports = []uint16{8080}
 		// Make hang detection proportional to the example's timescale: a

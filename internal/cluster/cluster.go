@@ -317,27 +317,6 @@ func (c *Cluster) Ingress(frame []byte) error {
 	return nil
 }
 
-// IngressBurst processes a same-tick vector of gateway frames — a NIC RX
-// burst at the L4 LB — coalescing each device's wakeups through the kernel
-// burst API. With BatchWidth ≤ 1 on the devices this is exactly a loop over
-// Ingress; wider widths deliver the same trace with fewer engine events.
-// Returns the number of frames accepted; rejects bump the usual counters.
-func (c *Cluster) IngressBurst(frames [][]byte) int {
-	for _, d := range c.Devices {
-		d.NS.BeginBurst()
-	}
-	accepted := 0
-	for _, f := range frames {
-		if c.Ingress(f) == nil {
-			accepted++
-		}
-	}
-	for _, d := range c.Devices {
-		d.NS.EndBurst()
-	}
-	return accepted
-}
-
 // BlockTenant migrates a tenant off this cluster: its SYNs are refused here
 // (the control plane would point the VIP at an isolated sandbox cluster,
 // Appendix C). Established flows continue until they close.

@@ -331,11 +331,7 @@ func (ep *Epoll) Wait(maxEvents int, timeout time.Duration, fn func([]Event)) {
 	}
 }
 
-// schedule enqueues a delivery and arms the trampoline for it. While a
-// burst is open (and the stack's width allows coalescing), the per-delivery
-// trampoline is replaced by an entry in the stack's flush frame: the frame's
-// single flush event pops this queue in the same global order the dedicated
-// trampolines would have fired in.
+// schedule enqueues a delivery and arms the trampoline for it.
 func (ep *Epoll) schedule(d delivery) {
 	if len(ep.pendQ) == cap(ep.pendQ) && ep.pendQHead > 0 {
 		n := copy(ep.pendQ, ep.pendQ[ep.pendQHead:])
@@ -346,10 +342,6 @@ func (ep *Epoll) schedule(d delivery) {
 		ep.pendQHead = 0
 	}
 	ep.pendQ = append(ep.pendQ, d)
-	if ns := ep.ns; ns.burstDepth > 0 && ns.burstWidth > 1 {
-		ns.burstEnqueue(ep)
-		return
-	}
 	ep.ns.eng.At(ep.ns.eng.Now(), ep.deliverFn)
 }
 

@@ -73,21 +73,6 @@ type NetStack struct {
 	connFree  []*Conn
 	watchFree []*watch
 
-	// Burst machinery (BeginBurst/EndBurst). While a burst is open and
-	// burstWidth > 1, epoll wakeups coalesce: instead of one trampoline
-	// engine event per wake, woken instances append to the open flush
-	// frame and one flush event per frame pops each delivery in schedule
-	// order. burstEps/burstFrames are head-indexed and reused, so
-	// steady-state coalescing is allocation-free.
-	burstWidth      int      // deliveries per flush frame; 1 = paper-literal trampolines
-	burstDepth      int      // BeginBurst nesting depth
-	burstEps        []*Epoll // FIFO of coalesced deliveries (one pendQ entry each)
-	burstEpsHead    int
-	burstOpen       int   // entries in the currently open (unsealed) frame
-	burstFrames     []int // sealed frame sizes, one flush event scheduled per frame
-	burstFramesHead int
-	burstFlushFn    func()
-
 	// SynDrops counts connections refused for lack of a listener or
 	// accept-queue overflow.
 	SynDrops uint64
@@ -104,96 +89,11 @@ const DefaultAcceptBacklog = 1024
 
 // NewNetStack creates a stack on the given engine.
 func NewNetStack(eng *sim.Engine, mode WakeMode) *NetStack {
-	ns := &NetStack{
-		Mode:       mode,
-		eng:        eng,
-		shared:     make(map[uint16]*Socket),
-		groups:     make(map[uint16]*ReuseportGroup),
-		burstWidth: 1,
-	}
-	// Bind the flush trampoline once (method values allocate per evaluation).
-	ns.burstFlushFn = ns.flushBurst
-	return ns
-}
-
-// SetBurstWidth sets the maximum number of epoll wake deliveries coalesced
-// into one flush engine event while a burst is open. Width 1 (the default)
-// is the paper-literal path: every wakeup schedules its own trampoline
-// event. Any width yields byte-identical simulation output: a flush frame
-// occupies the engine-queue position of its first member, and its members
-// were scheduled back-to-back within one engine event — so they were
-// adjacent in the same-tick FIFO already, and firing them consecutively
-// from the flush preserves the global order exactly.
-func (ns *NetStack) SetBurstWidth(w int) {
-	if w < 1 {
-		w = 1
-	}
-	ns.burstWidth = w
-}
-
-// BurstWidth returns the configured flush-frame width.
-func (ns *NetStack) BurstWidth() int { return ns.burstWidth }
-
-// BeginBurst opens a burst window: until the matching EndBurst, epoll wake
-// deliveries triggered by DeliverSYN/DeliverData/DeliverFIN coalesce into
-// flush frames of at most BurstWidth. Bursts nest (only the outermost
-// EndBurst seals the open frame) and MUST be closed within the same engine
-// event that opened them — a burst held across events panics at flush time.
-func (ns *NetStack) BeginBurst() { ns.burstDepth++ }
-
-// EndBurst closes a burst window opened by BeginBurst, sealing the open
-// flush frame (if any) so its scheduled flush event knows where to stop.
-func (ns *NetStack) EndBurst() {
-	if ns.burstDepth == 0 {
-		panic("kernel: EndBurst without BeginBurst")
-	}
-	ns.burstDepth--
-	if ns.burstDepth == 0 && ns.burstOpen > 0 {
-		ns.sealBurstFrame()
-	}
-}
-
-// burstEnqueue records one coalesced delivery for ep (which has already
-// queued the matching pendQ entry). Called by Epoll.schedule instead of
-// arming a per-delivery trampoline while a burst is open.
-func (ns *NetStack) burstEnqueue(ep *Epoll) {
-	if ns.burstOpen == 0 {
-		// First delivery of a new frame: schedule that frame's flush.
-		ns.eng.At(ns.eng.Now(), ns.burstFlushFn)
-	}
-	ns.burstEps = append(ns.burstEps, ep)
-	ns.burstOpen++
-	if ns.burstOpen >= ns.burstWidth {
-		ns.sealBurstFrame()
-	}
-}
-
-func (ns *NetStack) sealBurstFrame() {
-	ns.burstFrames = append(ns.burstFrames, ns.burstOpen)
-	ns.burstOpen = 0
-}
-
-// flushBurst fires one sealed flush frame: each coalesced delivery pops in
-// schedule order, exactly as its dedicated trampoline event would have.
-func (ns *NetStack) flushBurst() {
-	if ns.burstFramesHead >= len(ns.burstFrames) {
-		panic("kernel: burst left open across engine events (missing EndBurst)")
-	}
-	n := ns.burstFrames[ns.burstFramesHead]
-	ns.burstFramesHead++
-	if ns.burstFramesHead == len(ns.burstFrames) {
-		ns.burstFrames = ns.burstFrames[:0]
-		ns.burstFramesHead = 0
-	}
-	for i := 0; i < n; i++ {
-		ep := ns.burstEps[ns.burstEpsHead]
-		ns.burstEps[ns.burstEpsHead] = nil
-		ns.burstEpsHead++
-		ep.deliver()
-	}
-	if ns.burstEpsHead == len(ns.burstEps) {
-		ns.burstEps = ns.burstEps[:0]
-		ns.burstEpsHead = 0
+	return &NetStack{
+		Mode:   mode,
+		eng:    eng,
+		shared: make(map[uint16]*Socket),
+		groups: make(map[uint16]*ReuseportGroup),
 	}
 }
 
@@ -301,26 +201,14 @@ func (ns *NetStack) NewEpoll() *Epoll {
 // shared socket), creates the connection socket, and queues it for accept.
 // Returns ok=false if there is no listener or the accept queue overflowed.
 func (ns *NetStack) DeliverSYN(tuple FourTuple, meta any) (*Conn, bool) {
-	g := ns.groups[tuple.DstPort]
-	var s *Socket
-	if g == nil {
-		s = ns.shared[tuple.DstPort]
-	}
-	return ns.deliverSYNResolved(tuple, meta, g, s)
-}
-
-// deliverSYNResolved is DeliverSYN past port resolution: the listener (g or
-// s, both possibly nil for an unbound port) has already been looked up, so
-// burst callers pay the map walk once per run of equal destination ports.
-func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGroup, s *Socket) (*Conn, bool) {
 	var target *Socket
 	via := tracing.ViaShared
 	worker := tracing.KernelTrack
 	hash := tuple.Hash()
-	if g != nil {
+	if g := ns.groups[tuple.DstPort]; g != nil {
 		target, via = g.selectSocket(hash, tuple.LocalityHash())
 		worker = int32(target.groupIdx)
-	} else if s != nil {
+	} else if s := ns.shared[tuple.DstPort]; s != nil {
 		target = s
 	} else {
 		ns.SynDrops++
@@ -374,64 +262,6 @@ func (ns *NetStack) deliverSYNResolved(tuple FourTuple, meta any, g *ReuseportGr
 	ns.ConnsEstablished++
 	ns.tr.ConnEstablished(uint64(c.ID), c.EstablishedNS, worker, via)
 	return c, true
-}
-
-// DeliverSYNBurst completes handshakes for a batch of same-tick arrivals —
-// the NIC-burst idiom: one engine event carries the whole vector instead of
-// one event per SYN. It is observably identical to calling DeliverSYN for
-// each tuple, in order, within one engine event; with BurstWidth > 1 the
-// resulting wakeups additionally coalesce into flush frames. metas may be
-// nil (all-nil metadata). Results append to conns (nil entry per drop) so
-// callers can reuse a scratch slice allocation-free.
-func (ns *NetStack) DeliverSYNBurst(tuples []FourTuple, metas []any, conns []*Conn) []*Conn {
-	ns.BeginBurst()
-	// Port resolution is hoisted per run of equal destination ports — a
-	// NIC burst is usually single-port, so the map walk amortizes across
-	// the vector. Safe within one call: no listener can be bound or closed
-	// mid-burst (worker reactions are deferred engine events).
-	var (
-		g        *ReuseportGroup
-		s        *Socket
-		port     uint16
-		resolved bool
-	)
-	for i := range tuples {
-		if p := tuples[i].DstPort; !resolved || p != port {
-			port, resolved = p, true
-			g = ns.groups[p]
-			s = nil
-			if g == nil {
-				s = ns.shared[p]
-			}
-		}
-		var m any
-		if metas != nil {
-			m = metas[i]
-		}
-		c, _ := ns.deliverSYNResolved(tuples[i], m, g, s)
-		conns = append(conns, c)
-	}
-	ns.EndBurst()
-	return conns
-}
-
-// DeliverDataBurst makes a batch of payloads readable on their connections
-// within one engine event — observably identical to calling DeliverData for
-// each non-nil conn in order. payloads may be nil (all-nil payloads); nil
-// conns (drops from DeliverSYNBurst) are skipped.
-func (ns *NetStack) DeliverDataBurst(conns []*Conn, payloads []any) {
-	ns.BeginBurst()
-	for i, c := range conns {
-		if c == nil {
-			continue
-		}
-		var p any
-		if payloads != nil {
-			p = payloads[i]
-		}
-		ns.DeliverData(c, p)
-	}
-	ns.EndBurst()
 }
 
 // DeliverData makes payload readable on an established connection. Data

@@ -182,12 +182,6 @@ type Config struct {
 	// never regrow the table (Worker.ConnTableGrows stays 0). 0 keeps the
 	// small default; MaxConnsPerWorker still caps the pre-size.
 	ConnsPerWorkerHint int
-	// BatchWidth is the kernel's arrival/delivery coalescing width
-	// (NetStack.SetBurstWidth): how many same-tick deliveries share one
-	// flush event. ≤1 is the paper-literal one-trampoline-per-wake path;
-	// any width produces a byte-identical simulation trace (the burst fuzz
-	// oracle pins this), wider just costs fewer engine events.
-	BatchWidth int
 	// Costs is the fixed-function cost model.
 	Costs CostModel
 	// Shed is the optional degradation policy (Hermes modes only).

@@ -87,7 +87,6 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 		NS:  kernel.NewNetStack(eng, wake),
 		Cfg: cfg,
 	}
-	lb.NS.SetBurstWidth(cfg.BatchWidth)
 
 	switch cfg.Mode {
 	case ModeExclusive, ModeExclusiveRR, ModeHerd, ModeAcceptMutex, ModeDispatcher, ModeIOUring:
