@@ -12,7 +12,7 @@ import (
 )
 
 // ProbeDropper is the prober surface the injector drives for probe-loss
-// faults (both probe.Prober and probe.WorkerProber satisfy it).
+// faults (probe.WorkerProber satisfies it).
 type ProbeDropper interface {
 	SetDrop(fn func() bool)
 }

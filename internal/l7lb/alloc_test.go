@@ -12,12 +12,8 @@ import (
 // request, close — without a heap allocation in the worker loop. The
 // request payload is boxed once outside the measured loop, so the only
 // allocation a caller of DeliverData pays (the `any` box) is excluded.
-// ModeDispatcher is left out: its per-job continuations still allocate.
 func TestWarmLifecycleZeroAlloc(t *testing.T) {
 	for _, mode := range modesUnderTest() {
-		if mode == ModeDispatcher {
-			continue
-		}
 		t.Run(mode.String(), func(t *testing.T) {
 			eng := sim.NewEngine(1)
 			cfg := DefaultConfig(mode)

@@ -104,9 +104,6 @@ type CostModel struct {
 	Dispatch time.Duration
 	// MutexOp is the accept-mutex acquire/release cost (ModeAcceptMutex).
 	MutexOp time.Duration
-	// UpstreamHandshake is the extra latency of opening a fresh backend
-	// connection (TCP+TLS round trips to an IDC, §7) when the pool misses.
-	UpstreamHandshake time.Duration
 }
 
 // DefaultCosts returns microsecond-scale constants consistent with the
@@ -120,8 +117,6 @@ func DefaultCosts() CostModel {
 		SpuriousWake: time.Microsecond,
 		Dispatch:     2 * time.Microsecond,
 		MutexOp:      300 * time.Nanosecond,
-		// Cross-Internet TCP+TLS setup is millisecond-scale (§7).
-		UpstreamHandshake: 2 * time.Millisecond,
 	}
 }
 
@@ -189,14 +184,6 @@ type Config struct {
 	// DetailedStats enables per-worker event/latency CDF collection
 	// (Figs. 4, 5); off by default to keep long runs lean.
 	DetailedStats bool
-	// Backends, when set, makes every request forward to a backend via
-	// round-robin (§7); pair with Upstream to model connection reuse.
-	Backends *BackendPool
-	// Upstream models the backend connection pool; a request whose
-	// worker→backend pair has no idle pooled connection pays
-	// Costs.UpstreamHandshake extra (§7 "More connections established with
-	// backend servers").
-	Upstream *UpstreamPool
 	// Telemetry, when set, wires the cross-layer metric catalog
 	// (docs/TELEMETRY.md) into the kernel, eBPF, core, and worker layers at
 	// build time. Nil disables all recording: the layers then hold nil

@@ -16,14 +16,20 @@ type dispatcher struct {
 	lb *LB
 	w  *Worker // the dispatcher's own core (accounting + epoll)
 
-	// onWakeFn is the pre-bound onWake method value (binding per Wait
-	// call allocates on every loop iteration).
-	onWakeFn func([]kernel.Event)
+	// evs and idx are the in-flight event batch and its cursor, parked here
+	// so the per-event continuation is the pre-bound afterEventFn rather
+	// than a closure per event. onWakeFn is likewise bound once: binding
+	// per Wait call allocates on every loop iteration.
+	evs          []kernel.Event
+	idx          int
+	onWakeFn     func([]kernel.Event)
+	afterEventFn func()
 }
 
 func newDispatcher(lb *LB) *dispatcher {
 	d := &dispatcher{lb: lb, w: newWorker(lb, -1, NopHook{})}
 	d.onWakeFn = d.onWake
+	d.afterEventFn = d.afterEvent
 	// The dispatcher core traces on the track one past the executors (the
 	// kernel track is reserved for the netstack).
 	d.w.tr = lb.Cfg.Tracer.WorkerTrace(lb.Cfg.Workers)
@@ -48,20 +54,25 @@ func (d *dispatcher) onWake(evs []kernel.Event) {
 	if d.w.crashed {
 		return
 	}
-	d.processBatch(evs, 0)
+	d.evs, d.idx = evs, 0
+	d.processBatch()
 }
 
-func (d *dispatcher) processBatch(evs []kernel.Event, i int) {
-	if i >= len(evs) {
+func (d *dispatcher) processBatch() {
+	if d.idx >= len(d.evs) {
 		d.loop()
 		return
 	}
-	cost := d.handle(evs[i])
+	cost := d.handle(d.evs[d.idx])
 	d.w.beginWork(cost)
-	d.lb.Eng.After(cost, func() {
-		d.w.endWork()
-		d.processBatch(evs, i+1)
-	})
+	d.lb.Eng.After(cost, d.afterEventFn)
+}
+
+// afterEvent banks the current event's intake cost and moves to the next.
+func (d *dispatcher) afterEvent() {
+	d.w.endWork()
+	d.idx++
+	d.processBatch()
 }
 
 // handle runs on the dispatcher core: it performs the cheap event intake
@@ -83,22 +94,12 @@ func (d *dispatcher) handle(ev kernel.Event) time.Duration {
 		if !ok {
 			return costs.SpuriousWake
 		}
-		work := payload.(Work)
-		sock := ev.Sock
 		// The executor's completion fires later; capture a checked ref now
 		// in case the connection is reset and recycled meanwhile.
-		connRef := sock.Conn().Ref()
-		ex := d.leastLoaded()
-		ex.pushJob(work.Cost, func() {
-			ex.Completed++
-			// The job ran contiguously for work.Cost ending now, so the
-			// serve span's start is recoverable without threading it through.
-			end := d.lb.Eng.Now()
-			ex.tr.Serve(uint64(connRef.ID()), work.ArrivalNS, end-int64(work.Cost), end, work.Probe)
-			d.lb.recordCompletion(ex, connRef, work)
-			if work.Close && connRef.Get() != nil {
-				d.w.closeConn(sock)
-			}
+		d.leastLoaded().pushJob(execJob{
+			sock:    ev.Sock,
+			connRef: ev.Sock.Conn().Ref(),
+			work:    payload.(Work),
 		})
 		return costs.Dispatch
 	case kernel.EvHangup:

@@ -1,7 +1,6 @@
 package l7lb
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -359,43 +358,6 @@ func TestDispatcherBottleneck(t *testing.T) {
 	}
 	if lb.Completed == 0 {
 		t.Fatal("dispatcher mode served nothing")
-	}
-}
-
-func TestBackendPoolRoundRobinRestart(t *testing.T) {
-	imbalance := func(randomize bool) float64 {
-		pool := NewBackendPool(10)
-		pool.RandomizeOffsets = randomize
-		rng := rand.New(rand.NewSource(11))
-		clients := make([]*BackendClient, 16)
-		for i := range clients {
-			clients[i] = pool.NewClient()
-		}
-		pool.UpdateServers(10, rng) // controller pushes a new list
-		// Each worker forwards only a couple of requests after the update
-		// (the §7 failure condition: few requests per worker).
-		for _, c := range clients {
-			c.Pick()
-			c.Pick()
-		}
-		max, min := uint64(0), uint64(1<<62)
-		for _, b := range pool.Servers() {
-			if b.Requests > max {
-				max = b.Requests
-			}
-			if b.Requests < min {
-				min = b.Requests
-			}
-		}
-		return float64(max) - float64(min)
-	}
-	lockstep := imbalance(false)
-	randomized := imbalance(true)
-	if lockstep < 10 {
-		t.Fatalf("lockstep restart should pile onto first servers (spread %v)", lockstep)
-	}
-	if randomized >= lockstep {
-		t.Fatalf("randomized offsets did not help: %v >= %v", randomized, lockstep)
 	}
 }
 

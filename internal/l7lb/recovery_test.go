@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/kernel"
 	"hermes/internal/sim"
 )
 
@@ -162,5 +163,42 @@ func TestCostMultiplierScalesService(t *testing.T) {
 	eng.RunUntil(t1 + int64(5*time.Millisecond))
 	if lb.Completed != 2 {
 		t.Fatal("request still scaled after multiplier reset")
+	}
+}
+
+// A dispatcher-mode executor parks its in-flight job and arms one prebound
+// completion timer. A crash must disarm that timer: otherwise, after a
+// restart, the dead incarnation's timer would fire under the new
+// generation and complete the next job before its cost had elapsed.
+func TestExecutorRestartIgnoresStaleJobTimer(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig(ModeDispatcher)
+	cfg.Workers = 1
+	lb, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doneAt []int64
+	lb.OnResponse = func(kernel.ConnRef, Work) { doneAt = append(doneAt, eng.Now()) }
+	lb.Start()
+	conn := openConn(t, lb, 1, 8080)
+	eng.RunUntil(int64(time.Millisecond))
+
+	sendReq(lb, conn, 10*time.Millisecond, false) // dies with the crash
+	eng.RunUntil(int64(3 * time.Millisecond))
+	ex := lb.Workers[0]
+	ex.Crash(false)
+	ex.Restart()
+
+	eng.RunUntil(int64(4 * time.Millisecond))
+	sent := eng.Now()
+	sendReq(lb, conn, 20*time.Millisecond, false)
+	eng.RunUntil(int64(50 * time.Millisecond))
+
+	if len(doneAt) != 1 {
+		t.Fatalf("completed %d requests, want 1 (the pre-crash job is lost)", len(doneAt))
+	}
+	if took := doneAt[0] - sent; took < int64(20*time.Millisecond) {
+		t.Fatalf("post-restart job finished after %v, before its 20ms cost", time.Duration(took))
 	}
 }

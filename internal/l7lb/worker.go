@@ -20,10 +20,9 @@ type Worker struct {
 	// ID is the worker index (== CPU core == reuseport socket index).
 	ID int
 
-	lb      *LB
-	ep      *kernel.Epoll
-	hook    Hook
-	backend *BackendClient // round-robin cursor when Config.Backends is set
+	lb   *LB
+	ep   *kernel.Epoll
+	hook Hook
 
 	crashed  bool
 	executor bool // ModeDispatcher executors run job queues, not epoll loops
@@ -78,10 +77,15 @@ type Worker struct {
 	// scale harness pins it at zero when a capacity hint is configured.
 	ConnTableGrows uint64
 
-	// Executor state (ModeDispatcher).
+	// Executor state (ModeDispatcher). jobs[jobHead:] is the queue; while
+	// jobRunning, jobs[jobHead] is the job in flight, whose completion is
+	// the pre-bound afterJobFn (armed in contTimer under contGen, like the
+	// event loop's continuations — an executor runs no epoll loop).
 	jobs         []execJob
+	jobHead      int
 	jobRunning   bool
 	queuedCostNS int64
+	afterJobFn   func()
 
 	// busyDoneNS is CPU time of finished work; jobStartNS/jobEndNS bracket
 	// the in-flight piece so BusyNS never over-reports a long job that
@@ -112,9 +116,11 @@ type Worker struct {
 	tr *tracing.WorkerTrace
 }
 
+// execJob is one request the dispatcher handed to an executor.
 type execJob struct {
-	cost time.Duration
-	done func()
+	sock    *kernel.Socket
+	connRef kernel.ConnRef
+	work    Work
 }
 
 // servState carries an EvReadable serve from handle to its completion in
@@ -127,8 +133,6 @@ type servState struct {
 	connRef    kernel.ConnRef
 	work       Work
 	serveStart int64
-	backendID  int
-	forwarded  bool
 }
 
 func newWorker(lb *LB, id int, hook Hook) *Worker {
@@ -155,6 +159,7 @@ func newWorker(lb *LB, id int, hook Hook) *Worker {
 	w.onWakeGateFn = func() { w.onWake(w.batchEvs) }
 	w.afterEventFn = w.afterEvent
 	w.endLoopFn = w.endLoopCont
+	w.afterJobFn = w.afterJob
 	if lb.Cfg.DetailedStats {
 		w.EventsPerWait = &stats.Sample{}
 		w.BatchProcNS = &stats.Sample{}
@@ -281,7 +286,7 @@ func (w *Worker) Restart() {
 	w.hangUntilNS, w.spinStartNS, w.spinEndNS = 0, 0, 0
 	w.jobStartNS, w.jobEndNS = 0, 0
 	w.costMult = 1
-	w.jobs = w.jobs[:0]
+	w.jobs, w.jobHead = w.jobs[:0], 0
 	w.jobRunning = false
 	w.queuedCostNS = 0
 	w.ep = w.lb.NS.NewEpoll()
@@ -539,13 +544,10 @@ func (w *Worker) afterEvent() {
 }
 
 // finishServe completes the in-flight EvReadable serve parked by handle:
-// upstream release, completion accounting, and Connection: close teardown.
+// completion accounting and Connection: close teardown.
 func (w *Worker) finishServe() {
 	s := w.serv
 	w.serv = servState{}
-	if s.forwarded && w.lb.Cfg.Upstream != nil {
-		w.lb.Cfg.Upstream.Release(w.ID, s.backendID)
-	}
 	w.Completed++
 	w.telServed.Inc()
 	w.tr.Serve(uint64(s.connRef.ID()), s.work.ArrivalNS, s.serveStart, w.lb.Eng.Now(), s.work.Probe)
@@ -601,29 +603,14 @@ func (w *Worker) handle(ev kernel.Event) time.Duration {
 		// now rather than re-reading sock.Conn() later.
 		connRef := sock.Conn().Ref()
 		serveStart := w.lb.Eng.Now()
-		cost := work.Cost
-		var backendID int
-		forwarded := false
-		if w.backend != nil {
-			// Forward to a backend (§7): a pool miss pays the cross-network
-			// handshake before the request can proceed.
-			b := w.backend.Pick()
-			backendID = b.ID
-			forwarded = true
-			if w.lb.Cfg.Upstream != nil && !w.lb.Cfg.Upstream.Acquire(w.ID, b.ID) {
-				cost += costs.UpstreamHandshake
-			}
-		}
 		w.serv = servState{
 			active:     true,
 			sock:       sock,
 			connRef:    connRef,
 			work:       work,
 			serveStart: serveStart,
-			backendID:  backendID,
-			forwarded:  forwarded,
 		}
-		return cost
+		return work.Cost
 	case kernel.EvHangup:
 		w.closeConn(ev.Sock)
 		return costs.Close
@@ -772,41 +759,62 @@ func (w *Worker) releaseMutex() {
 
 // --- dispatcher-mode executor ---
 
-func (w *Worker) pushJob(cost time.Duration, done func()) {
-	w.jobs = append(w.jobs, execJob{cost: cost, done: done})
-	w.queuedCostNS += int64(cost)
+func (w *Worker) pushJob(j execJob) {
+	if w.jobHead > 0 && len(w.jobs) == cap(w.jobs) {
+		// Slide the live queue to the front instead of growing the array.
+		n := copy(w.jobs, w.jobs[w.jobHead:])
+		clear(w.jobs[n:])
+		w.jobs, w.jobHead = w.jobs[:n], 0
+	}
+	w.jobs = append(w.jobs, j)
+	w.queuedCostNS += int64(j.work.Cost)
 	if !w.jobRunning {
 		w.runNextJob()
 	}
 }
 
 func (w *Worker) runNextJob() {
-	if w.crashed || len(w.jobs) == 0 {
+	if w.crashed || w.jobHead == len(w.jobs) {
 		w.jobRunning = false
 		return
 	}
 	w.jobRunning = true
-	j := w.jobs[0]
-	w.jobs = w.jobs[1:]
 	// queuedCostNS tracks the unscaled cost pushJob added, so the slow
 	// multiplier applies only to the charge, not the queue accounting.
-	cost := w.scaleCost(j.cost)
+	cost := w.scaleCost(w.jobs[w.jobHead].work.Cost)
 	w.beginWork(cost)
-	gen := w.gen
-	w.lb.Eng.After(cost, func() { w.afterJob(j, gen) })
+	w.contGen = w.gen
+	w.contTimer = w.lb.Eng.After(cost, w.afterJobFn)
 }
 
-func (w *Worker) afterJob(j execJob, gen uint64) {
-	if w.crashed || w.gen != gen {
+func (w *Worker) afterJob() {
+	if w.crashed || w.gen != w.contGen {
 		return
 	}
-	if w.gate(func() { w.afterJob(j, gen) }) {
+	if w.gate(w.afterJobFn) {
 		return
 	}
 	w.endWork()
-	w.queuedCostNS -= int64(j.cost)
-	if j.done != nil {
-		j.done()
+	j := w.jobs[w.jobHead]
+	w.jobs[w.jobHead] = execJob{}
+	if w.jobHead++; w.jobHead == len(w.jobs) {
+		w.jobs, w.jobHead = w.jobs[:0], 0
 	}
+	w.queuedCostNS -= int64(j.work.Cost)
+	w.finishJob(j)
 	w.runNextJob()
+}
+
+// finishJob completes a dispatched request: completion accounting, and
+// Connection: close teardown on the dispatcher core, which owns the
+// connection. The job ran contiguously for work.Cost ending now, so the
+// serve span's start is recoverable without threading it through.
+func (w *Worker) finishJob(j execJob) {
+	w.Completed++
+	end := w.lb.Eng.Now()
+	w.tr.Serve(uint64(j.connRef.ID()), j.work.ArrivalNS, end-int64(j.work.Cost), end, j.work.Probe)
+	w.lb.recordCompletion(w, j.connRef, j.work)
+	if j.work.Close && j.connRef.Get() != nil {
+		w.lb.Dispatcher.w.closeConn(j.sock)
+	}
 }

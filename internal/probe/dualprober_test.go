@@ -30,38 +30,40 @@ func TestDualProberAccountingExact(t *testing.T) {
 	eng, lb := healthyLB(t, l7lb.ModeHermes)
 	openTestConns(eng, lb, 16)
 
-	wp := NewWorkerProber(lb, 8080, 5*time.Millisecond)
-	sp := NewProber(lb, 8080, 50*time.Millisecond)
+	// Two probers at different rates: the faster one's completions dominate
+	// the LB-global counter.
+	fast := NewWorkerProber(lb, 8080, 5*time.Millisecond)
+	slow := NewWorkerProber(lb, 8080, 50*time.Millisecond)
 	eng.At(int64(10*time.Millisecond), func() {
-		wp.Run(time.Second)
-		sp.Run(time.Second)
+		fast.Run(time.Second)
+		slow.Run(time.Second)
 	})
 	eng.RunUntil(int64(2 * time.Second))
 
-	if wp.Sent == 0 || sp.Sent == 0 {
-		t.Fatalf("both probers must send: worker=%d single=%d", wp.Sent, sp.Sent)
+	if fast.Sent == 0 || slow.Sent == 0 {
+		t.Fatalf("both probers must send: fast=%d slow=%d", fast.Sent, slow.Sent)
 	}
-	if wp.Sent <= sp.Sent {
-		t.Fatalf("test needs the worker prober to dominate (worker=%d single=%d) to expose the underflow",
-			wp.Sent, sp.Sent)
+	if fast.Sent <= slow.Sent {
+		t.Fatalf("test needs the fast prober to dominate (fast=%d slow=%d) to expose the underflow",
+			fast.Sent, slow.Sent)
 	}
-	if wp.Completed != wp.Sent {
-		t.Fatalf("worker prober: completed %d of %d on a healthy LB", wp.Completed, wp.Sent)
+	if fast.Completed != fast.Sent {
+		t.Fatalf("fast prober: completed %d of %d on a healthy LB", fast.Completed, fast.Sent)
 	}
-	if sp.Completed != sp.Sent {
-		t.Fatalf("single prober: completed %d of %d on a healthy LB", sp.Completed, sp.Sent)
+	if slow.Completed != slow.Sent {
+		t.Fatalf("slow prober: completed %d of %d on a healthy LB", slow.Completed, slow.Sent)
 	}
-	// Pre-fix, sp.DelayedCount() was ≈ 2^64 here (sp.Sent minus the
-	// LB-global completion count, which wp's probes dominate).
-	if d := sp.DelayedCount(); d != 0 {
-		t.Fatalf("single prober delayed count %d, want 0 (underflow regression)", d)
+	// Pre-fix, slow.DelayedCount() was ≈ 2^64 here (slow.Sent minus the
+	// LB-global completion count, which fast's probes dominate).
+	if d := slow.DelayedCount(); d != 0 {
+		t.Fatalf("slow prober delayed count %d, want 0 (underflow regression)", d)
 	}
-	if d := wp.DelayedCount(); d != 0 {
-		t.Fatalf("worker prober delayed count %d, want 0", d)
+	if d := fast.DelayedCount(); d != 0 {
+		t.Fatalf("fast prober delayed count %d, want 0", d)
 	}
 	// The LB-global counter still aggregates both streams.
-	if lb.ProbesCompleted != wp.Sent+sp.Sent {
-		t.Fatalf("LB-global completions %d != %d + %d", lb.ProbesCompleted, wp.Sent, sp.Sent)
+	if lb.ProbesCompleted != fast.Sent+slow.Sent {
+		t.Fatalf("LB-global completions %d != %d + %d", lb.ProbesCompleted, fast.Sent, slow.Sent)
 	}
 }
 
@@ -70,7 +72,7 @@ func TestProberLossCountsAsDelayed(t *testing.T) {
 	eng, lb := healthyLB(t, l7lb.ModeHermes)
 	openTestConns(eng, lb, 16)
 
-	lossy := NewProber(lb, 8080, 20*time.Millisecond)
+	lossy := NewWorkerProber(lb, 8080, 20*time.Millisecond)
 	lossy.SetDrop(func() bool { return true })
 	clean := NewWorkerProber(lb, 8080, 10*time.Millisecond)
 	eng.At(int64(10*time.Millisecond), func() {

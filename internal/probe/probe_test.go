@@ -24,12 +24,16 @@ func healthyLB(t *testing.T, mode l7lb.Mode) (*sim.Engine, *l7lb.LB) {
 
 func TestProberHealthyPath(t *testing.T) {
 	eng, lb := healthyLB(t, l7lb.ModeHermes)
-	p := NewProber(lb, 8080, 10*time.Millisecond)
-	p.Run(time.Second)
+	openTestConns(eng, lb, 16)
+	p := NewWorkerProber(lb, 8080, 10*time.Millisecond)
+	eng.At(int64(10*time.Millisecond), func() { p.Run(time.Second) })
 	eng.RunUntil(int64(2 * time.Second))
 
-	if p.Sent < 90 {
-		t.Fatalf("sent %d probes, want ≈100", p.Sent)
+	if p.Sent < 4*90 {
+		t.Fatalf("sent %d probes, want ≈4×100 (4 workers)", p.Sent)
+	}
+	if p.SkippedRounds != 0 {
+		t.Fatalf("skipped %d worker rounds; every worker should hold a connection", p.SkippedRounds)
 	}
 	if lb.ProbesCompleted != p.Sent {
 		t.Fatalf("completed %d of %d", lb.ProbesCompleted, p.Sent)
@@ -48,6 +52,7 @@ func TestProberHealthyPath(t *testing.T) {
 
 func TestProberCountsHungWorkerDelays(t *testing.T) {
 	eng, lb := healthyLB(t, l7lb.ModeReuseport)
+	openTestConns(eng, lb, 16)
 	// Hang all workers with multi-second requests: probes land behind them.
 	// 32 hash-dispatched hang connections make it overwhelmingly likely
 	// every one of the 4 workers catches at least one.
@@ -64,7 +69,7 @@ func TestProberCountsHungWorkerDelays(t *testing.T) {
 			}
 		})
 	}
-	p := NewProber(lb, 8080, 20*time.Millisecond)
+	p := NewWorkerProber(lb, 8080, 20*time.Millisecond)
 	eng.At(int64(50*time.Millisecond), func() { p.Run(time.Second) })
 	eng.RunUntil(int64(1200 * time.Millisecond))
 
