@@ -143,7 +143,7 @@ func BenchmarkTable5(b *testing.B) {
 			_ = sa.Put(uint32(i), i)
 		}
 		_ = sel.Update(0, 0xaaaa5555)
-		prog, err := core.BuildDispatchProgram(sel, sa, 2)
+		prog, err := core.BuildDispatchProgram([]core.GroupMaps{{Sel: sel, Socks: sa}}, 2, core.GroupByTupleHash)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,12 +37,11 @@ func main() {
 		}
 		hcfg := core.DefaultConfig()
 		hcfg.MinWorkers = 1 // span-1 groups must still dispatch (reuseport-degenerate case)
-		inst, err := core.New(workers, hcfg,
+		gc, err := core.New(workers, hcfg,
 			core.WithGroups(groups), core.WithGroupKey(core.GroupByLocalityHash))
 		if err != nil {
 			panic(err)
 		}
-		gc := inst.(*core.GroupedController)
 		if err := gc.AttachEBPF(rg); err != nil {
 			panic(err)
 		}

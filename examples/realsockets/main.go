@@ -99,11 +99,10 @@ func (w *worker) serveConn(conn net.Conn, buf []byte) {
 }
 
 func main() {
-	inst, err := core.New(workers, core.DefaultConfig())
+	ctl, err := core.New(workers, core.DefaultConfig()) // ≤64 workers: one group
 	if err != nil {
 		panic(err)
 	}
-	ctl := inst.(*core.Controller) // ≤64 workers → single-level deployment
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -136,7 +135,7 @@ func main() {
 			if err != nil {
 				return
 			}
-			bitmap, _ := ctl.SelMap().Lookup(0)
+			bitmap, _ := ctl.SelMap(0).Lookup(0)
 			h := hashSeq.Add(2654435761)
 			wi, ok := core.NativeSelect(bitmap, h, ctl.Config().MinWorkers)
 			if !ok {

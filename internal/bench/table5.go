@@ -77,7 +77,7 @@ func MeasureOverheads(iters int) Overheads {
 		_ = sa.Put(uint32(i), i)
 	}
 	_ = sel.Update(0, 0xaaaa5555)
-	prog, err := core.BuildDispatchProgram(sel, sa, 2)
+	prog, err := core.BuildDispatchProgram([]core.GroupMaps{{Sel: sel, Socks: sa}}, 2, core.GroupByTupleHash)
 	if err != nil {
 		panic(err)
 	}

@@ -55,7 +55,7 @@ func TestScheduleSingleWinnerSkipsHung(t *testing.T) {
 }
 
 func TestControllerSingleWinnerPublishesOneBit(t *testing.T) {
-	c, err := NewController(4, DefaultConfig())
+	c, err := New(4, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +75,13 @@ func TestControllerSingleWinnerPublishesOneBit(t *testing.T) {
 	if res.Bitmap.Has(0) {
 		t.Fatal("heaviest worker selected as single winner")
 	}
-	if got, _ := c.SelMap().Lookup(0); got != uint64(res.Bitmap) {
+	if got, _ := c.SelMap(0).Lookup(0); got != uint64(res.Bitmap) {
 		t.Fatal("kernel map out of sync")
 	}
 }
 
 func TestGroupedControllerFilterOrderAndHookCounters(t *testing.T) {
-	gc, err := NewGroupedController(96, DefaultConfig(), GroupByTupleHash)
+	gc, err := New(96, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,13 @@ func TestGroupedControllerFilterOrderAndHookCounters(t *testing.T) {
 	h.EventsFetched(-3) // ignored
 
 	// The metrics must land in group 1's table, slot 6.
-	snap := gc.wst.Group(1).Snapshot(nil)
+	snap := gc.Table().Group(1).Snapshot(nil)
 	m := snap[6]
 	if m.LoopEnterNS != 100 || m.Busy != 3 || m.Conn != 1 {
 		t.Fatalf("grouped hook metrics: %+v", m)
 	}
 	// Group 0 untouched.
-	for i, m := range gc.wst.Group(0).Snapshot(nil) {
+	for i, m := range gc.Table().Group(0).Snapshot(nil) {
 		if m.Busy != 0 || m.Conn != 0 {
 			t.Fatalf("group 0 slot %d polluted: %+v", i, m)
 		}

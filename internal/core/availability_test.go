@@ -10,12 +10,12 @@ import (
 // the policy generation, invalidating the sync cache) and come back when
 // restored. The all-ones default changes nothing.
 func TestControllerAvailabilityVeto(t *testing.T) {
-	ctl, err := NewController(3, DefaultConfig())
+	ctl, err := New(3, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctl.AvailableMask() != ^uint64(0) {
-		t.Fatalf("default mask = %b, want all ones", ctl.AvailableMask())
+	if ctl.AvailableMask(0) != ^uint64(0) {
+		t.Fatalf("default mask = %b, want all ones", ctl.AvailableMask(0))
 	}
 	now := int64(time.Second)
 	hooks := []*WorkerHook{ctl.NewWorkerHook(0), ctl.NewWorkerHook(1), ctl.NewWorkerHook(2)}
@@ -36,7 +36,7 @@ func TestControllerAvailabilityVeto(t *testing.T) {
 	if res.Bitmap.Has(1) || res.Passed != 2 {
 		t.Fatalf("vetoed worker still selected: %+v", res)
 	}
-	if bm, _ := ctl.SelMap().Lookup(0); bm&(1<<1) != 0 {
+	if bm, _ := ctl.SelMap(0).Lookup(0); bm&(1<<1) != 0 {
 		t.Fatalf("published selmap still has vetoed worker: %b", bm)
 	}
 
@@ -65,5 +65,34 @@ func TestControllerAvailabilityVeto(t *testing.T) {
 	}
 	if err := ctl.SetWorkerAvailable(-1, false); err == nil {
 		t.Error("negative worker veto accepted")
+	}
+}
+
+// In a grouped fleet the veto lands in the worker's own group: vetoing a
+// group-1 worker clears its slot in group 1's selection map only.
+func TestControllerAvailabilityVetoGroupLocal(t *testing.T) {
+	ctl, err := New(128, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := int64(time.Second)
+	hooks := make([]*WorkerHook, ctl.Workers())
+	for i := range hooks {
+		hooks[i] = ctl.NewWorkerHook(i)
+		hooks[i].LoopEnter(now)
+	}
+	if err := ctl.SetWorkerAvailable(70, false); err != nil { // group 1, slot 6
+		t.Fatal(err)
+	}
+	hooks[0].ScheduleAndSync(now)
+	hooks[64].ScheduleAndSync(now)
+	if ctl.AvailableMask(0) != ^uint64(0) || ctl.AvailableMask(1) != ^uint64(1<<6) {
+		t.Fatalf("masks = %b / %b, want only group 1 slot 6 cleared", ctl.AvailableMask(0), ctl.AvailableMask(1))
+	}
+	if bm, _ := ctl.SelMap(0).Lookup(0); bm != ^uint64(0) {
+		t.Fatalf("group 0 bitmap = %b, want all 64 workers", bm)
+	}
+	if bm, _ := ctl.SelMap(1).Lookup(0); bm != ^uint64(1<<6) {
+		t.Fatalf("group 1 bitmap = %b, want all but slot 6", bm)
 	}
 }

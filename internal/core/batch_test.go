@@ -16,7 +16,7 @@ func batchedConfig(q time.Duration) Config {
 // recomputes.
 func TestSyncBatchingCoalescesWithinQuantum(t *testing.T) {
 	const workers = 4
-	c, err := NewController(workers, batchedConfig(100*time.Microsecond))
+	c, err := New(workers, batchedConfig(100*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSyncBatchingCoalescesWithinQuantum(t *testing.T) {
 func TestSyncBatchingQuantumBoundsStaleness(t *testing.T) {
 	const workers = 3
 	cfg := batchedConfig(time.Millisecond)
-	c, err := NewController(workers, cfg)
+	c, err := New(workers, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSyncBatchingQuantumBoundsStaleness(t *testing.T) {
 	if res.Passed != workers-1 || res.Bitmap.Has(2) {
 		t.Fatalf("post-quantum pass kept hung worker: passed=%d bitmap=%b", res.Passed, uint64(res.Bitmap))
 	}
-	if bm, _ := c.SelMap().Lookup(0); bm&(1<<2) != 0 {
+	if bm, _ := c.SelMap(0).Lookup(0); bm&(1<<2) != 0 {
 		t.Fatalf("hung worker still in kernel map: %b", bm)
 	}
 }
@@ -96,7 +96,7 @@ func TestSyncBatchingQuantumBoundsStaleness(t *testing.T) {
 // the live-policy tests flip these at one virtual instant.
 func TestSyncBatchingPolicyFlipInvalidates(t *testing.T) {
 	const workers = 4
-	c, err := NewController(workers, batchedConfig(time.Millisecond))
+	c, err := New(workers, batchedConfig(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSyncBatchingPolicyFlipInvalidates(t *testing.T) {
 	if res := h.ScheduleAndSync(1); res.Passed != 0 {
 		t.Fatalf("fallback not applied mid-quantum: passed=%d", res.Passed)
 	}
-	if bm, _ := c.SelMap().Lookup(0); bm != 0 {
+	if bm, _ := c.SelMap(0).Lookup(0); bm != 0 {
 		t.Fatalf("kernel map not emptied by fallback: %b", bm)
 	}
 	c.SetForceFallback(false)
@@ -137,7 +137,7 @@ func TestSyncBatchingDisabledByDefault(t *testing.T) {
 	if q := DefaultConfig().SyncQuantum; q != 0 {
 		t.Fatalf("DefaultConfig.SyncQuantum = %v, want 0", q)
 	}
-	c, err := NewController(2, DefaultConfig())
+	c, err := New(2, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestSyncBatchingDisabledByDefault(t *testing.T) {
 // and group A's cache never serves group B's workers.
 func TestSyncBatchingGroupedPerGroup(t *testing.T) {
 	const workers, groups = 8, 2
-	gc, err := NewGroupedControllerWithGroups(workers, groups, batchedConfig(time.Millisecond), GroupByTupleHash)
+	gc, err := New(workers, batchedConfig(time.Millisecond), WithGroups(groups))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooks := make([]*GroupedWorkerHook, workers)
+	hooks := make([]*WorkerHook, workers)
 	for i := range hooks {
 		hooks[i] = gc.NewWorkerHook(i)
 		hooks[i].LoopEnter(0)
@@ -168,10 +168,10 @@ func TestSyncBatchingGroupedPerGroup(t *testing.T) {
 	// Hang one worker in group 1 so the two groups compute different bitmaps.
 	for i, h := range hooks {
 		if i != 7 {
-			h.LoopEnter(int64(2 * gc.cfg.HangThreshold))
+			h.LoopEnter(int64(2 * gc.Config().HangThreshold))
 		}
 	}
-	now := int64(2 * gc.cfg.HangThreshold)
+	now := int64(2 * gc.Config().HangThreshold)
 	for i, h := range hooks {
 		res := h.ScheduleAndSync(now + int64(i)) // all within one quantum
 		span := workers / groups
@@ -210,7 +210,7 @@ func TestSyncQuantumValidation(t *testing.T) {
 // The batched fast path must not allocate (it sits in every worker's event
 // loop).
 func TestSyncBatchedPathZeroAlloc(t *testing.T) {
-	c, err := NewController(4, batchedConfig(time.Second/100))
+	c, err := New(4, batchedConfig(time.Second/100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -270,7 +271,7 @@ func TestDispatchProgramMatchesNative(t *testing.T) {
 		}
 	}
 	for _, minWorkers := range []int{1, 2, 5} {
-		prog, err := BuildDispatchProgram(sel, sa, minWorkers)
+		prog, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, minWorkers, GroupByTupleHash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +325,7 @@ func TestGroupedDispatchProgramMatchesNative(t *testing.T) {
 		gm[gi] = GroupMaps{Sel: sel, Socks: sa}
 	}
 	for _, key := range []GroupKey{GroupByTupleHash, GroupByLocalityHash} {
-		prog, err := BuildGroupedDispatchProgram(gm, 2, key)
+		prog, err := BuildDispatchProgram(gm, 2, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +346,8 @@ func TestGroupedDispatchProgramMatchesNative(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ng, nw, nok := NativeSelectGrouped(bitmaps, hash, lhash, 2, key)
+			ng, rankHash := route(key, groups, hash, lhash)
+			nw, nok := NativeSelect(bitmaps[ng], rankHash, 2)
 			if nok != (r0 == 0) {
 				t.Fatalf("trial %d: vm r0=%d native ok=%v", trial, r0, nok)
 			}
@@ -365,7 +367,7 @@ func TestDispatchProgramSize(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		sa.Put(uint32(i), i)
 	}
-	p, err := BuildDispatchProgram(sel, sa, 2)
+	p, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 2, GroupByTupleHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +380,7 @@ func TestDispatchProgramSize(t *testing.T) {
 	for i := range gm {
 		gm[i] = GroupMaps{Sel: ebpf.NewArrayMap(1), Socks: sa}
 	}
-	gp, err := BuildGroupedDispatchProgram(gm, 2, GroupByTupleHash)
+	gp, err := BuildDispatchProgram(gm, 2, GroupByTupleHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,14 +393,14 @@ func TestDispatchProgramSize(t *testing.T) {
 func TestBuilderErrors(t *testing.T) {
 	sel := ebpf.NewArrayMap(1)
 	sa := ebpf.NewSockArray(1)
-	if _, err := BuildDispatchProgram(sel, sa, 0); err == nil {
+	if _, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 0, GroupByTupleHash); err == nil {
 		t.Fatal("minWorkers=0 accepted")
 	}
-	if _, err := BuildGroupedDispatchProgram(nil, 2, GroupByTupleHash); err == nil {
+	if _, err := BuildDispatchProgram(nil, 2, GroupByTupleHash); err == nil {
 		t.Fatal("empty groups accepted")
 	}
-	if _, err := BuildGroupedDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 0, GroupByTupleHash); err == nil {
-		t.Fatal("grouped minWorkers=0 accepted")
+	if _, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}, {Sel: sel, Socks: sa}}, 0, GroupByTupleHash); err == nil {
+		t.Fatal("two-group minWorkers=0 accepted")
 	}
 }
 
@@ -413,7 +415,7 @@ func TestControllerEndToEndAvoidsHungWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctl, err := NewController(3, DefaultConfig())
+			ctl, err := New(3, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -466,7 +468,7 @@ func TestControllerFallbackBelowMinWorkers(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
 	g, _ := ns.ListenReuseport(80, 3, 0)
-	ctl, _ := NewController(3, DefaultConfig()) // MinWorkers=2
+	ctl, _ := New(3, DefaultConfig()) // MinWorkers=2
 	if err := ctl.AttachEBPF(g); err != nil {
 		t.Fatal(err)
 	}
@@ -497,23 +499,20 @@ func TestControllerSizeMismatch(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
 	g, _ := ns.ListenReuseport(80, 4, 0)
-	ctl, _ := NewController(3, DefaultConfig())
+	ctl, _ := New(3, DefaultConfig())
 	if err := ctl.AttachEBPF(g); err == nil {
 		t.Fatal("size mismatch accepted (ebpf)")
 	}
 	if err := ctl.AttachNative(g); err == nil {
 		t.Fatal("size mismatch accepted (native)")
 	}
-	if _, err := NewController(0, DefaultConfig()); err == nil {
+	if _, err := New(0, DefaultConfig()); err == nil {
 		t.Fatal("0 workers accepted")
-	}
-	if _, err := NewController(65, DefaultConfig()); err == nil {
-		t.Fatal("65 workers accepted")
 	}
 }
 
 func TestWorkerHookCounters(t *testing.T) {
-	ctl, _ := NewController(2, DefaultConfig())
+	ctl, _ := New(2, DefaultConfig())
 	h := ctl.NewWorkerHook(0)
 	h.LoopEnter(100)
 	h.EventsFetched(3)
@@ -541,7 +540,7 @@ func TestGroupedControllerTwoLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gc, err := NewGroupedController(128, DefaultConfig(), GroupByTupleHash)
+	gc, err := New(128, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +580,7 @@ func TestGroupedControllerLocalityPinsDestination(t *testing.T) {
 	eng := sim.NewEngine(1)
 	ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
 	g, _ := ns.ListenReuseport(80, 8, 0)
-	gc, err := NewGroupedControllerWithGroups(8, 4, DefaultConfig(), GroupByLocalityHash)
+	gc, err := New(8, DefaultConfig(), WithGroups(4), WithGroupKey(GroupByLocalityHash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,19 +616,19 @@ func TestGroupedControllerLocalityPinsDestination(t *testing.T) {
 }
 
 func TestGroupedControllerValidation(t *testing.T) {
-	if _, err := NewGroupedController(0, DefaultConfig(), GroupByTupleHash); err == nil {
+	if _, err := New(0, DefaultConfig(), WithGroups(1)); err == nil {
 		t.Fatal("0 workers accepted")
 	}
-	if _, err := NewGroupedControllerWithGroups(10, 3, DefaultConfig(), GroupByTupleHash); err == nil {
+	if _, err := New(10, DefaultConfig(), WithGroups(3)); err == nil {
 		t.Fatal("non-divisible grouping accepted")
 	}
-	if _, err := NewGroupedControllerWithGroups(130, 2, DefaultConfig(), GroupByTupleHash); err == nil {
+	if _, err := New(130, DefaultConfig(), WithGroups(2)); err == nil {
 		t.Fatal("span > 64 accepted")
 	}
 	eng := sim.NewEngine(1)
 	ns := kernel.NewNetStack(eng, kernel.WakeExclusiveLIFO)
 	g, _ := ns.ListenReuseport(80, 4, 0)
-	gc, _ := NewGroupedController(128, DefaultConfig(), GroupByTupleHash)
+	gc, _ := New(128, DefaultConfig())
 	if err := gc.AttachEBPF(g); err == nil {
 		t.Fatal("socket mismatch accepted")
 	}
@@ -659,7 +658,7 @@ func BenchmarkDispatchVMvsNative(b *testing.B) {
 		sa.Put(uint32(i), i)
 	}
 	sel.Update(0, 0xaaaa5555aaaa5555)
-	prog, err := BuildDispatchProgram(sel, sa, 2)
+	prog, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 2, GroupByTupleHash)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -696,7 +695,7 @@ func TestDispatchProgramShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p, err := BuildDispatchProgram(sel, sa, 2)
+	p, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 2, GroupByLocalityHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,12 +711,23 @@ func TestDispatchProgramShape(t *testing.T) {
 			t.Errorf("dispatch program missing %q:\n%s", frag, dis)
 		}
 	}
-	// The grouped program adds the locality helper when keyed by locality.
-	gp, err := BuildGroupedDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}}, 2, GroupByLocalityHash)
+	// One group is standard Hermes: no level-1 pick to key, even by
+	// locality, and no rank mix.
+	mix := fmt.Sprintf(", %d\n", uint64(hashMixConst))
+	if strings.Contains(dis, "call bpf_get_locality_hash") || strings.Contains(dis, mix) {
+		t.Errorf("one-group program has a level-1 pick or rank mix:\n%s", dis)
+	}
+	// Two groups add the locality helper when keyed by locality, and the
+	// rank mix in every group body.
+	gp, err := BuildDispatchProgram([]GroupMaps{{Sel: sel, Socks: sa}, {Sel: sel, Socks: sa}}, 2, GroupByLocalityHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(gp.Disassemble(), "call bpf_get_locality_hash") {
+	gdis := gp.Disassemble()
+	if !strings.Contains(gdis, "call bpf_get_locality_hash") {
 		t.Error("grouped-by-locality program missing locality helper")
+	}
+	if n := strings.Count(gdis, mix); n != 2 {
+		t.Errorf("two-group program mixes the rank hash %d times, want 2", n)
 	}
 }

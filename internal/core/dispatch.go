@@ -55,8 +55,8 @@ func emitFindNth(a *ebpf.Assembler, v, rank, pos, t, tmp ebpf.Reg, labelPrefix s
 	a.Label(lbl)
 }
 
-// hashMixConst decorrelates the two levels of grouped dispatch (odd, so the
-// map hash → hash*K mod 2^32 is a bijection: no collisions introduced).
+// hashMixConst decorrelates the two dispatch levels (odd, so the map
+// hash → hash*K mod 2^32 is a bijection: no collisions introduced).
 // reciprocal_scale consumes the TOP bits of its input, so reusing the raw
 // 4-tuple hash for both the group pick and the in-group rank makes the rank
 // a near-deterministic function of the group: within group g, only ranks
@@ -69,17 +69,13 @@ func emitFindNth(a *ebpf.Assembler, v, rank, pos, t, tmp ebpf.Reg, labelPrefix s
 // level-1 decision.
 const hashMixConst = 0x9E3779B1
 
-// mix32 is the native twin of the MulImm the grouped program applies to the
-// rank hash.
-func mix32(h uint32) uint32 { return uint32(uint64(h) * hashMixConst) }
-
 // emitGroupDispatch appends the single-group body of Algorithm 2 against the
 // given map slots: load the selection bitmap, count candidates, bail to
 // fallLabel if fewer than minWorkers, otherwise scale the 4-tuple hash to a
 // rank, select that worker's socket and exit 0. labelPrefix uniquifies
 // labels when several group bodies share one program. mixHash decorrelates
 // the rank hash from the level-1 group pick (see hashMixConst) and must be
-// set iff the body is part of a two-level program.
+// set iff the program has more than one group.
 func emitGroupDispatch(a *ebpf.Assembler, selSlot, sockSlot uint64, minWorkers int, fallLabel, labelPrefix string, mixHash bool) {
 	// R6 = C = M_sel[0]
 	a.LdMap(ebpf.R1, selSlot)
@@ -115,27 +111,7 @@ func emitGroupDispatch(a *ebpf.Assembler, selSlot, sockSlot uint64, minWorkers i
 	a.Exit()
 }
 
-// BuildDispatchProgram assembles and verifies the single-group Algorithm 2
-// program over the given selection map (one uint64 bitmap at key 0) and
-// sockarray (worker i → socket i). Returning 0 selects the socket in the
-// run context; returning 1 asks the kernel to fall back to reuseport
-// hashing.
-func BuildDispatchProgram(sel *ebpf.ArrayMap, socks *ebpf.SockArray, minWorkers int) (*ebpf.Program, error) {
-	if minWorkers < 1 {
-		return nil, fmt.Errorf("core: minWorkers must be ≥ 1, got %d", minWorkers)
-	}
-	a := ebpf.NewAssembler()
-	selSlot := a.AddMap(sel)
-	sockSlot := a.AddMap(socks)
-	emitGroupDispatch(a, selSlot, sockSlot, minWorkers, "fallback", "g0", false)
-	a.Label("fallback")
-	a.MovImm(ebpf.R0, 1)
-	a.Exit()
-	return a.Assemble()
-}
-
-// GroupMaps holds one worker group's kernel-visible state for the two-level
-// dispatch of §7 (>64 workers) and the locality mode of Fig. A6.
+// GroupMaps holds one worker group's kernel-visible state for dispatch.
 type GroupMaps struct {
 	Sel   *ebpf.ArrayMap
 	Socks *ebpf.SockArray
@@ -154,13 +130,18 @@ const (
 	GroupByLocalityHash
 )
 
-// BuildGroupedDispatchProgram assembles the two-level program: level 1
-// hashes to a group (by tuple or locality hash), level 2 runs the standard
-// bitmap dispatch within that group. Group selection compiles to a forward
-// branch chain, so program size grows linearly with the group count; the
-// verifier's instruction budget admits 30+ groups (≈2000 workers), far
-// beyond the paper's deployment sizes.
-func BuildGroupedDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKey) (*ebpf.Program, error) {
+// BuildDispatchProgram assembles and verifies the Algorithm 2 program over
+// the given groups, each a selection map (one uint64 bitmap at key 0) and a
+// sockarray (slot i → the group's worker i). With several groups, level 1
+// hashes to a group (by tuple or locality hash) and level 2 runs the bitmap
+// dispatch within it; group selection compiles to a forward branch chain,
+// so program size grows linearly with the group count, and the verifier's
+// instruction budget admits 30+ groups (≈2000 workers), far beyond the
+// paper's deployment sizes. One group is standard Hermes: the level-2 body
+// alone, with neither the level-1 pick nor the rank mix. Returning 0 selects
+// the socket in the run context; returning 1 asks the kernel to fall back
+// to reuseport hashing.
+func BuildDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKey) (*ebpf.Program, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("core: no groups")
 	}
@@ -174,26 +155,29 @@ func BuildGroupedDispatchProgram(groups []GroupMaps, minWorkers int, key GroupKe
 		ss[i] = slots{sel: a.AddMap(g.Sel), sock: a.AddMap(g.Socks)}
 	}
 
-	// R9 = group = reciprocal_scale(level1hash, nGroups)
-	switch key {
-	case GroupByLocalityHash:
-		a.Call(ebpf.HelperGetLocalityHash)
-	default:
-		a.Call(ebpf.HelperGetHash)
-	}
-	a.MovReg(ebpf.R1, ebpf.R0)
-	a.MovImm(ebpf.R2, uint64(len(groups)))
-	a.Call(ebpf.HelperReciprocalScale)
-	a.MovReg(ebpf.R9, ebpf.R0)
+	multi := len(groups) > 1
+	if multi {
+		// R9 = group = reciprocal_scale(level1hash, nGroups)
+		switch key {
+		case GroupByLocalityHash:
+			a.Call(ebpf.HelperGetLocalityHash)
+		default:
+			a.Call(ebpf.HelperGetHash)
+		}
+		a.MovReg(ebpf.R1, ebpf.R0)
+		a.MovImm(ebpf.R2, uint64(len(groups)))
+		a.Call(ebpf.HelperReciprocalScale)
+		a.MovReg(ebpf.R9, ebpf.R0)
 
-	// Branch chain to the matching group body.
-	for i := range groups {
-		a.JeqImm(ebpf.R9, uint64(i), fmt.Sprintf("grp%d", i))
+		// Branch chain to the matching group body.
+		for i := range groups {
+			a.JeqImm(ebpf.R9, uint64(i), fmt.Sprintf("grp%d", i))
+		}
+		a.Ja("fallback")
 	}
-	a.Ja("fallback")
 	for i, s := range ss {
 		a.Label(fmt.Sprintf("grp%d", i))
-		emitGroupDispatch(a, s.sel, s.sock, minWorkers, "fallback", fmt.Sprintf("g%d", i), true)
+		emitGroupDispatch(a, s.sel, s.sock, minWorkers, "fallback", fmt.Sprintf("g%d", i), multi)
 	}
 	a.Label("fallback")
 	a.MovImm(ebpf.R0, 1)
@@ -219,16 +203,15 @@ func NativeSelect(bitmap uint64, hash uint32, minWorkers int) (worker int, ok bo
 	return idx, true
 }
 
-// NativeSelectGrouped is the native twin of the two-level program.
-func NativeSelectGrouped(bitmaps []uint64, hash, localityHash uint32, minWorkers int, key GroupKey) (group, worker int, ok bool) {
-	if len(bitmaps) == 0 {
-		return 0, 0, false
+// route is the native twin of the program's level 1: the group a
+// connection lands in, and the hash its in-group rank is scaled from.
+func route(key GroupKey, groups int, hash, localityHash uint32) (group int, rankHash uint32) {
+	if groups == 1 {
+		return 0, hash
 	}
 	l1 := hash
 	if key == GroupByLocalityHash {
 		l1 = localityHash
 	}
-	g := int(bitops.ReciprocalScale(l1, uint32(len(bitmaps))))
-	w, ok := NativeSelect(bitmaps[g], mix32(hash), minWorkers)
-	return g, w, ok
+	return int(bitops.ReciprocalScale(l1, uint32(groups))), uint32(uint64(hash) * hashMixConst)
 }

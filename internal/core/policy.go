@@ -121,14 +121,14 @@ func PolicyHandler(c *Controller) http.Handler {
 			Busy        int64 `json:"busy"`
 			Conn        int64 `json:"conn"`
 		}
-		snap := c.WST().Snapshot(nil)
+		snap := c.Table().Snapshot(nil)
 		ws := make([]workerStatus, len(snap))
 		for i, m := range snap {
 			ws[i] = workerStatus{Worker: i, LoopEnterNS: m.LoopEnterNS, Busy: m.Busy, Conn: m.Conn}
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"stats":     c.Stats(),
-			"selection": fmt.Sprintf("%064b", c.WST().LoadSelection()),
+			"selection": fmt.Sprintf("%064b", c.WST().LoadSelection()), // group 0's
 			"workers":   ws,
 		})
 	})

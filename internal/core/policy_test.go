@@ -14,7 +14,7 @@ import (
 
 func newTestController(t *testing.T) *Controller {
 	t.Helper()
-	c, err := NewController(4, DefaultConfig())
+	c, err := New(4, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

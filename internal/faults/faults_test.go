@@ -131,7 +131,7 @@ func TestInjectorAppliesScheduledFaults(t *testing.T) {
 	if m := lb.Workers[2].CostMultiplier(); m != 4 {
 		t.Errorf("w2 cost multiplier %v, want 4", m)
 	}
-	if fu := lb.Ctl.SelMap().FailedUpdates.Load(); fu == 0 {
+	if fu := lb.Ctl.SelMap(0).FailedUpdates.Load(); fu == 0 {
 		t.Error("sync stall failed no selmap updates")
 	}
 	if inj.Injected != 6 || inj.Skipped != 0 {
@@ -214,6 +214,35 @@ func TestWatchdogDetectsAndRestartsHungWorker(t *testing.T) {
 	}
 }
 
+// Fleets over 64 workers split into controller groups; the watchdog scans
+// every group's table, so a hang in group 1 is caught like one in group 0.
+func TestWatchdogDetectsHangInSecondGroup(t *testing.T) {
+	eng, lb := testLB(t, l7lb.ModeHermes, 128)
+	if lb.Ctl.Groups() != 2 {
+		t.Fatalf("128 workers in %d groups, want 2", lb.Ctl.Groups())
+	}
+	openConns(eng, lb, 256)
+	eng.RunUntil(int64(10 * time.Millisecond))
+
+	dog := NewWatchdog(lb, time.Millisecond)
+	if dog == nil {
+		t.Fatal("a grouped hermes LB must have a watchdog")
+	}
+	dog.Start(500 * time.Millisecond)
+
+	const victim = 100 // group 1, slot 36
+	lb.Workers[victim].Hang(100 * time.Millisecond)
+	eng.RunUntil(eng.Now() + int64(60*time.Millisecond))
+
+	if dog.Detections != 1 || !dog.flagged[victim] {
+		t.Fatalf("watchdog made %d detections (victim flagged: %v), want exactly the group-1 victim",
+			dog.Detections, dog.flagged[victim])
+	}
+	if d := dog.DetectionNS[0]; time.Duration(d) < dog.Threshold {
+		t.Fatalf("detected at staleness %v, below threshold %v", time.Duration(d), dog.Threshold)
+	}
+}
+
 func TestWatchdogNilForBaselines(t *testing.T) {
 	_, lb := testLB(t, l7lb.ModeExclusive, 2)
 	dog := NewWatchdog(lb, time.Millisecond)
@@ -238,7 +267,7 @@ func TestStaleSelmapFallsBackToHash(t *testing.T) {
 
 	// Updates have been failing past the staleness bound: lookups read an
 	// empty bitmap, so new connections must still land via hash fallback.
-	if v, ok := lb.Ctl.SelMap().Lookup(0); !ok || v != 0 {
+	if v, ok := lb.Ctl.SelMap(0).Lookup(0); !ok || v != 0 {
 		t.Fatalf("stale map should read empty: v=%d ok=%v", v, ok)
 	}
 	accepted := func() (n uint64) {

@@ -98,20 +98,18 @@ func (inj *Injector) Start() {
 	}
 }
 
-// selMaps collects every selection map behind the LB (single-level or
-// grouped deployment); empty for non-Hermes modes.
+// selMaps collects every group's selection map behind the LB; empty for
+// non-Hermes modes.
 func (inj *Injector) selMaps() []*ebpf.ArrayMap {
-	if inj.lb.Ctl != nil {
-		return []*ebpf.ArrayMap{inj.lb.Ctl.SelMap()}
+	c := inj.lb.Ctl
+	if c == nil {
+		return nil
 	}
-	if g := inj.lb.GCtl; g != nil {
-		out := make([]*ebpf.ArrayMap, g.Groups())
-		for gi := range out {
-			out[gi] = g.SelMap(gi)
-		}
-		return out
+	out := make([]*ebpf.ArrayMap, c.Groups())
+	for gi := range out {
+		out[gi] = c.SelMap(gi)
 	}
-	return nil
+	return out
 }
 
 // victim resolves an event's target worker: a pinned id, or the most-loaded

@@ -100,11 +100,11 @@ func BenchmarkSteerSYN(b *testing.B) {
 			b.Fatal(err)
 		}
 		if attach != nil {
-			ctl, err := core.NewController(workers, core.DefaultConfig())
+			ctl, err := core.New(workers, core.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := ctl.SelMap().Update(0, fullBitmap); err != nil {
+			if err := ctl.SelMap(0).Update(0, fullBitmap); err != nil {
 				b.Fatal(err)
 			}
 			attach(ctl, g)

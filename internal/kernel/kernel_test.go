@@ -526,9 +526,11 @@ func TestReuseportRejectsForeignSocket(t *testing.T) {
 func TestReuseportEBPFProgramDispatch(t *testing.T) {
 	ns := NewNetStack(sim.NewEngine(1), WakeExclusiveLIFO)
 	g, _ := ns.ListenReuseport(80, 4, 0)
-	sa, err := g.BuildSockArray()
-	if err != nil {
-		t.Fatal(err)
+	sa := ebpf.NewSockArray(len(g.Sockets()))
+	for i, s := range g.Sockets() {
+		if err := sa.Put(uint32(i), s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Program: always select socket 3.
 	a := ebpf.NewAssembler()

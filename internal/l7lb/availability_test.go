@@ -28,12 +28,12 @@ func TestSetWorkerAvailableEvictsFromDispatch(t *testing.T) {
 	lb.Start()
 	eng.RunUntil(int64(10 * time.Millisecond)) // everyone scheduled at least once
 
-	if err := lb.SetWorkerAvailable(1, false); err != nil {
+	if err := lb.Ctl.SetWorkerAvailable(1, false); err != nil {
 		t.Fatal(err)
 	}
 	// Let the workers' loops republish the bitmap with the veto applied.
 	eng.RunUntil(eng.Now() + int64(50*time.Millisecond))
-	if bm, _ := lb.Ctl.SelMap().Lookup(0); bm&(1<<1) != 0 {
+	if bm, _ := lb.Ctl.SelMap(0).Lookup(0); bm&(1<<1) != 0 {
 		t.Fatalf("published bitmap still has vetoed worker: %b", bm)
 	}
 
@@ -64,7 +64,7 @@ func TestSetWorkerAvailableEvictsFromDispatch(t *testing.T) {
 	}
 
 	// Restore and verify traffic comes back.
-	if err := lb.SetWorkerAvailable(1, true); err != nil {
+	if err := lb.Ctl.SetWorkerAvailable(1, true); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(eng.Now() + int64(50*time.Millisecond))
@@ -73,7 +73,7 @@ func TestSetWorkerAvailableEvictsFromDispatch(t *testing.T) {
 		t.Fatal("restored worker still getting nothing")
 	}
 
-	if err := lb.SetWorkerAvailable(99, false); err == nil {
+	if err := lb.Ctl.SetWorkerAvailable(99, false); err == nil {
 		t.Error("out-of-range veto accepted")
 	}
 }

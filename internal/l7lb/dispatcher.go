@@ -27,7 +27,7 @@ type dispatcher struct {
 }
 
 func newDispatcher(lb *LB) *dispatcher {
-	d := &dispatcher{lb: lb, w: newWorker(lb, -1, NopHook{})}
+	d := &dispatcher{lb: lb, w: newWorker(lb, -1, nil)}
 	d.onWakeFn = d.onWake
 	d.afterEventFn = d.afterEvent
 	// The dispatcher core traces on the track one past the executors (the
@@ -110,12 +110,21 @@ func (d *dispatcher) handle(ev kernel.Event) time.Duration {
 	}
 }
 
+// leastLoaded picks the live executor with the least queued work. A crashed
+// executor is skipped: a job queued there would sit until Restart drops it.
+// With every executor down, the least-loaded of them is still returned.
 func (d *dispatcher) leastLoaded() *Worker {
-	best := d.lb.Workers[0]
-	for _, w := range d.lb.Workers[1:] {
-		if w.queuedCostNS < best.queuedCostNS {
+	var best, live *Worker
+	for _, w := range d.lb.Workers {
+		if best == nil || w.queuedCostNS < best.queuedCostNS {
 			best = w
 		}
+		if !w.crashed && (live == nil || w.queuedCostNS < live.queuedCostNS) {
+			live = w
+		}
+	}
+	if live != nil {
+		return live
 	}
 	return best
 }

@@ -25,12 +25,9 @@ type LB struct {
 	Workers []*Worker
 	// Dispatcher is the extra dispatcher pseudo-core (ModeDispatcher only).
 	Dispatcher *dispatcher
-	// Ctl is the Hermes controller (Hermes modes, ≤64 workers).
+	// Ctl is the Hermes controller (Hermes modes; nil in the baselines).
 	Ctl *core.Controller
-	// GCtl is the two-level grouped controller (Hermes modes, >64 workers, §7).
-	GCtl *core.GroupedController
 
-	ctl         core.Instance // whichever of Ctl/GCtl is active
 	groups      []*kernel.ReuseportGroup
 	shared      []*kernel.Socket
 	mutex       *acceptMutex
@@ -107,26 +104,20 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 	}
 
 	if cfg.Mode.UsesHermes() {
-		// core.New picks the deployment level: ≤64 workers single-level,
-		// more get the two-level grouped deployment (§7): hash to a
-		// ≤64-worker group, bitmap-select within it.
-		inst, err := core.New(cfg.Workers, cfg.Hermes, core.WithGroupKey(core.GroupByTupleHash))
+		// ≤64 workers are one group; larger fleets get the two-level
+		// deployment (§7): hash to a ≤64-worker group, bitmap-select
+		// within it.
+		ctl, err := core.New(cfg.Workers, cfg.Hermes, core.WithGroupKey(core.GroupByTupleHash))
 		if err != nil {
 			return nil, err
 		}
-		lb.ctl = inst
-		switch c := inst.(type) {
-		case *core.Controller:
-			lb.Ctl = c
-		case *core.GroupedController:
-			lb.GCtl = c
-		}
-		inst.SetFilterOrder(cfg.FilterOrder)
+		lb.Ctl = ctl
+		ctl.SetFilterOrder(cfg.FilterOrder)
 		for _, g := range lb.groups {
 			if cfg.Mode == ModeHermes {
-				err = inst.AttachEBPF(g)
+				err = ctl.AttachEBPF(g)
 			} else {
-				err = inst.AttachNative(g)
+				err = ctl.AttachNative(g)
 			}
 			if err != nil {
 				return nil, err
@@ -140,9 +131,9 @@ func New(eng *sim.Engine, cfg Config) (*LB, error) {
 	wireTracing(lb)
 
 	for i := 0; i < cfg.Workers; i++ {
-		var hook Hook = NopHook{}
-		if lb.ctl != nil {
-			hook = coreHook{lb.ctl.Hook(i)}
+		var hook *core.WorkerHook // nil: the baselines' unmodified event loop
+		if lb.Ctl != nil {
+			hook = lb.Ctl.NewWorkerHook(i)
 		}
 		w := newWorker(lb, i, hook)
 		lb.Workers = append(lb.Workers, w)
@@ -205,17 +196,6 @@ func (lb *LB) Groups() []*kernel.ReuseportGroup { return lb.groups }
 // SharedSockets returns the shared listening sockets (shared-socket modes).
 func (lb *LB) SharedSockets() []*kernel.Socket { return lb.shared }
 
-// SetWorkerAvailable vetoes (ok=false) or restores (ok=true) one worker in
-// the published selection bitmap: the eviction path backend-health wiring and
-// graceful drains share (docs/PROXY.md). The veto is ANDed onto every
-// Algorithm-1 result until lifted; single-level deployments only.
-func (lb *LB) SetWorkerAvailable(id int, ok bool) error {
-	if lb.Ctl == nil {
-		return fmt.Errorf("l7lb: worker availability veto needs the single-level controller (≤64 workers, ungrouped)")
-	}
-	return lb.Ctl.SetWorkerAvailable(id, ok)
-}
-
 // TotalBusyNS sums worker busy time as of now (plus the dispatcher's, if
 // present).
 func (lb *LB) TotalBusyNS() int64 {
@@ -274,18 +254,4 @@ func (lb *LB) notifyReset(conn kernel.ConnRef) {
 	if lb.OnConnReset != nil {
 		lb.OnConnReset(conn)
 	}
-}
-
-// coreHook adapts the deployment-independent core hook to the Hook seam
-// (single-level and grouped controllers alike).
-type coreHook struct{ h core.Hook }
-
-func (h coreHook) LoopEnter(now int64) { h.h.LoopEnter(now) }
-func (h coreHook) EventsFetched(n int) { h.h.EventsFetched(n) }
-func (h coreHook) EventHandled()       { h.h.EventHandled() }
-func (h coreHook) ConnOpened()         { h.h.ConnOpened() }
-func (h coreHook) ConnClosed()         { h.h.ConnClosed() }
-func (h coreHook) ScheduleAndSync(now int64) bool {
-	h.h.ScheduleAndSync(now)
-	return true
 }

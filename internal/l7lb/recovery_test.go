@@ -202,3 +202,35 @@ func TestExecutorRestartIgnoresStaleJobTimer(t *testing.T) {
 		t.Fatalf("post-restart job finished after %v, before its 20ms cost", time.Duration(took))
 	}
 }
+
+// Regression: the dispatcher's least-loaded pick did not skip crashed
+// executors. A crashed executor's empty queue ties at zero queued cost and,
+// as the first worker, won the pick; the job then sat in the dead queue
+// until Restart dropped it.
+func TestDispatcherSkipsCrashedExecutor(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig(ModeDispatcher)
+	cfg.Workers = 2
+	lb, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.Start()
+	eng.RunUntil(int64(time.Millisecond))
+	lb.Workers[0].Crash(false)
+
+	const reqs = 10
+	for i := 0; i < reqs; i++ {
+		i := i
+		eng.At(eng.Now()+int64(i)*int64(100*time.Microsecond), func() {
+			c := openConn(t, lb, uint32(i), 8080)
+			eng.After(10*time.Microsecond, func() {
+				sendReq(lb, c, 20*time.Microsecond, true)
+			})
+		})
+	}
+	eng.RunUntil(eng.Now() + int64(50*time.Millisecond))
+	if lb.Completed != reqs {
+		t.Fatalf("completed %d of %d requests: jobs stranded on the crashed executor", lb.Completed, reqs)
+	}
+}

@@ -3,6 +3,7 @@ package l7lb
 import (
 	"time"
 
+	"hermes/internal/core"
 	"hermes/internal/kernel"
 	"hermes/internal/sim"
 	"hermes/internal/stats"
@@ -22,7 +23,7 @@ type Worker struct {
 
 	lb   *LB
 	ep   *kernel.Epoll
-	hook Hook
+	hook *core.WorkerHook // Hermes instrumentation (Fig. 9); nil in the baselines
 
 	crashed  bool
 	executor bool // ModeDispatcher executors run job queues, not epoll loops
@@ -135,7 +136,7 @@ type servState struct {
 	serveStart int64
 }
 
-func newWorker(lb *LB, id int, hook Hook) *Worker {
+func newWorker(lb *LB, id int, hook *core.WorkerHook) *Worker {
 	// Pre-size the connection table so the steady-state accept path does
 	// not rehash/regrow: from the cell's planned per-worker connection
 	// count when the driver provides one, bounded by the pool cap.
@@ -448,10 +449,9 @@ func (w *Worker) loopEnter() {
 	now := w.lb.Eng.Now()
 	w.hook.LoopEnter(now)
 	w.telOpen.Record(now, int64(len(w.conns)))
-	if w.lb.Cfg.ScheduleAtLoopStart {
-		if w.hook.ScheduleAndSync(now) {
-			w.busy(w.lb.Cfg.Costs.Schedule)
-		}
+	if w.lb.Cfg.ScheduleAtLoopStart && w.hook != nil {
+		w.hook.ScheduleAndSync(now)
+		w.busy(w.lb.Cfg.Costs.Schedule)
 	}
 	if w.lb.mutex != nil {
 		w.tryAcquireMutex()
@@ -626,7 +626,8 @@ func (w *Worker) endLoop() {
 	}
 
 	var tail time.Duration
-	if !w.lb.Cfg.ScheduleAtLoopStart && w.hook.ScheduleAndSync(now) {
+	if !w.lb.Cfg.ScheduleAtLoopStart && w.hook != nil {
+		w.hook.ScheduleAndSync(now)
 		tail += w.lb.Cfg.Costs.Schedule
 	}
 	if p := w.lb.Cfg.Shed; p.Enabled {

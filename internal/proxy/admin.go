@@ -194,7 +194,7 @@ func (p *Proxy) statsView() StatsView {
 		v.WorkerHandled = append(v.WorkerHandled, w.Handled.Load())
 	}
 	st := p.ctl.Stats()
-	bitmap, _ := p.ctl.SelMap().Lookup(0)
+	bitmap, _ := p.ctl.SelMap(0).Lookup(0)
 	v.Scheduler = SchedulerView{
 		ScheduleCalls:   st.ScheduleCalls,
 		Syncs:           st.Syncs,
@@ -202,7 +202,7 @@ func (p *Proxy) statsView() StatsView {
 		AvgPassed:       st.AvgPassed,
 		EmptySets:       st.EmptySets,
 		SelectionBitmap: bitmap,
-		AvailableMask:   p.ctl.AvailableMask(),
+		AvailableMask:   p.ctl.AvailableMask(0),
 	}
 	return v
 }

@@ -145,20 +145,19 @@ func New(cfg Config, opts ...Option) (*Proxy, error) {
 		reg = telemetry.NewRegistry()
 	}
 
-	inst, err := core.New(cfg.Workers, core.DefaultConfig(), core.WithInstruments(core.Instruments{
+	// cfg.Workers is capped at MaxWorkers (64): one group, so group 0's
+	// selection map and veto mask are the whole fleet's.
+	ctl, err := core.New(cfg.Workers, core.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	ctl.Instrument(core.Instruments{
 		Recomputes: reg.Counter(telemetry.Metric{Name: "core.schedule.recomputes", Layer: "core", Unit: "passes"}),
 		Syncs:      reg.Counter(telemetry.Metric{Name: "core.schedule.syncs", Layer: "core", Unit: "syscalls"}),
 		WSTReads:   reg.Counter(telemetry.Metric{Name: "core.schedule.wst_reads", Layer: "core", Unit: "rows"}),
 		EmptySets:  reg.Counter(telemetry.Metric{Name: "core.schedule.empty_sets", Layer: "core", Unit: "passes"}),
 		Passed:     reg.Histogram(telemetry.Metric{Name: "core.schedule.passed", Layer: "core", Unit: "workers"}, telemetry.CountBuckets(64)),
-	}))
-	if err != nil {
-		return nil, err
-	}
-	ctl, ok := inst.(*core.Controller)
-	if !ok {
-		return nil, fmt.Errorf("proxy: worker count %d needs the grouped deployment; cap at %d", cfg.Workers, MaxWorkers)
-	}
+	})
 
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -322,7 +321,7 @@ func (p *Proxy) acceptLoop() {
 			}
 			return
 		}
-		bitmap, _ := p.ctl.SelMap().Lookup(0)
+		bitmap, _ := p.ctl.SelMap(0).Lookup(0)
 		h := p.hashSeq.Add(2654435761)
 		via := tracing.ViaProg
 		wi, ok := core.NativeSelect(bitmap, h, p.ctl.Config().MinWorkers)

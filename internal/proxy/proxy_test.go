@@ -406,7 +406,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("in-flight request dropped: status=%v err=%v", r.resp, r.err)
 	}
 	// Drain vetoed every worker in the availability mask before closing.
-	if mask := p.Controller().AvailableMask() & 0b11; mask != 0 {
+	if mask := p.Controller().AvailableMask(0) & 0b11; mask != 0 {
 		t.Errorf("worker bits after drain = %b, want 0", mask)
 	}
 	if _, err := net.DialTimeout("tcp", p.Addr(), 200*time.Millisecond); err == nil {

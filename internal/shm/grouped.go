@@ -70,6 +70,15 @@ func (g *Grouped) Locate(worker int) (group, slot int) {
 // GlobalID maps (group, slot) back to the global worker ID.
 func (g *Grouped) GlobalID(group, slot int) int { return group*g.span + slot }
 
+// Snapshot appends every worker's metrics to dst in global-ID order (each
+// group's rows in turn: IDs are dense, so the concatenation lines up).
+func (g *Grouped) Snapshot(dst []Metrics) []Metrics {
+	for _, t := range g.groups {
+		dst = t.Snapshot(dst)
+	}
+	return dst
+}
+
 // Writer returns the update handle for a global worker ID.
 func (g *Grouped) Writer(worker int) Writer {
 	gi, slot := g.Locate(worker)
